@@ -80,20 +80,6 @@ pub fn san_spec(compression: f64, scheme: SchemeKind) -> RunSpec {
         .with_label(format!("san_c{}", compression as u32))
 }
 
-/// The closed-loop transport kernel as a spec: incast64 (16-to-1 flows)
-/// under a go-back-N transport. Rates the ack/timer machinery — window
-/// bookkeeping, cumulative acks, generation-checked retransmission
-/// timers — on top of packet forwarding, rather than forwarding alone.
-pub fn incast_spec(scheme: SchemeKind) -> RunSpec {
-    RunSpec::flows(MinParams::paper_64(), scheme, traffic::FlowSet::incast64())
-        .with_transport(fabric::TransportKind::GoBackN(
-            fabric::TransportConfig::default(),
-        ))
-        .with_horizon(Picos::from_us(2000))
-        .with_bin(Picos::from_us(1))
-        .with_label("incast64")
-}
-
 /// The 256-host scalability kernel as a spec.
 pub fn scale_spec(scheme: SchemeKind) -> RunSpec {
     RunSpec::corner(
@@ -104,22 +90,6 @@ pub fn scale_spec(scheme: SchemeKind) -> RunSpec {
     .with_horizon(bench_horizon())
     .with_bin(Picos::from_us(1))
     .with_label("scale256")
-}
-
-/// The 4096-host fat-tree scalability kernel as a spec (16-ary 3-tree,
-/// one attacker per leaf switch). Uses streaming metrics so the probe's
-/// series storage does not contribute to the ~60M-event run's memory
-/// high-water mark.
-pub fn scale4096_spec(scheme: SchemeKind) -> RunSpec {
-    RunSpec::corner(
-        topology::FatTreeParams::ft_4096(),
-        scheme,
-        CornerCase::fattree_4096().shrunk(BENCH_TIME_DIV),
-    )
-    .with_horizon(bench_horizon())
-    .with_bin(Picos::from_us(1))
-    .with_metrics(simcore::MetricsMode::Streaming)
-    .with_label("scale4096")
 }
 
 /// Runs the corner-case kernel under a scheme and returns the output

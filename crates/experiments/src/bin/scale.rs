@@ -30,31 +30,26 @@ use traffic::corner::CornerCase;
 const SCALE_FLAGS: &[FlagDef] = &[
     FlagDef {
         name: "--net",
-        aliases: &[],
         value: Some(("N", "a host count (64, 512 or 4096)")),
         help: "run only the N-host rung of the ladder (default: all)",
     },
     FlagDef {
         name: "--time-div",
-        aliases: &[],
         value: Some(("D", "a divisor")),
         help: "time compression for the measured runs (default 16)",
     },
     FlagDef {
         name: "--metrics",
-        aliases: &[],
         value: Some(("full|streaming", "full or streaming")),
         help: "metrics mode for the measured runs (default streaming)",
     },
     FlagDef {
         name: "--json",
-        aliases: &[],
         value: Some(("FILE", "a file")),
         help: "write the table as flat JSON to FILE",
     },
     FlagDef {
         name: "--budget",
-        aliases: &[],
         value: Some(("BYTES", "a byte count")),
         help: "exit nonzero if any run's peak_bytes_estimate exceeds BYTES",
     },

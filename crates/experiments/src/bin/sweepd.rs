@@ -29,37 +29,31 @@ use experiments::OUTPUT_SCHEMA_VERSION;
 const SWEEPD_FLAGS: &[FlagDef] = &[
     FlagDef {
         name: "--spool",
-        aliases: &[],
         value: Some(("DIR", "a directory")),
         help: "watch DIR for *.jsonl spec batches (absent: one batch from stdin)",
     },
     FlagDef {
         name: "--cache",
-        aliases: &[],
         value: Some(("DIR|none", "a directory (or `none`)")),
         help: "content-addressed run cache (default results/cache; `none` disables)",
     },
     FlagDef {
         name: "--jobs",
-        aliases: &[],
         value: Some(("N", "a worker count")),
         help: "sweep worker count (default = available parallelism)",
     },
     FlagDef {
         name: "--once",
-        aliases: &[],
         value: None,
         help: "drain the spool once and exit instead of watching",
     },
     FlagDef {
         name: "--poll-ms",
-        aliases: &[],
         value: Some(("MS", "a duration in milliseconds")),
         help: "spool polling interval (default 500)",
     },
     FlagDef {
         name: "--demo",
-        aliases: &[],
         value: Some(("N", "a count")),
         help: "print N sample spec lines (for smoke tests) and exit",
     },
@@ -314,5 +308,28 @@ fn main() {
                 std::thread::sleep(std::time::Duration::from_millis(args.poll_ms.max(10)));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A spool line from the previous spec layout (version 5: the fat-tree
+    /// hotspot under ARN routing).
+    const V5_LINE: &str = r#"{"spec_v1": "52530501040000000300000000004000000030000000000000000000f03f15000000002d310100000000900672010000000040000000d507000000000000010400000002000040000000005a62020000000080841e0000000000000000", "label": "old"}"#;
+
+    #[test]
+    fn demo_lines_parse() {
+        for (i, line) in demo_lines(3).lines().enumerate() {
+            let spec = parse_line(line).expect("demo line parses");
+            assert_eq!(spec.label(), format!("demo{i}"));
+        }
+    }
+
+    #[test]
+    fn older_spec_versions_are_rejected() {
+        let err = parse_line(V5_LINE).unwrap_err();
+        assert!(err.contains("unsupported spec version 5"), "{err}");
     }
 }

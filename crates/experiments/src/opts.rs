@@ -4,16 +4,14 @@
 //!
 //! * A reusable declarative flag parser — [`FlagDef`], [`parse_flags`],
 //!   [`usage_line`], [`render_help`] — used by every binary in the
-//!   workspace (the figure binaries through [`Opts`], and `bench_core` /
-//!   `sweepd` with their own flag tables). One table per binary, one
-//!   `--help` renderer, `Result` errors instead of panics, and deprecated
-//!   flag spellings ride along as aliases.
+//!   workspace (the figure binaries through [`Opts`], `sweepd` and
+//!   `scale` with their own flag tables). One table per binary, one
+//!   `--help` renderer, and `Result` errors instead of panics.
 //! * [`Opts`], the typed option set of the figure/validation binaries,
 //!   built on that parser.
 
 use std::path::PathBuf;
 
-use simcore::SchedulerKind;
 use topology::{FatTreeParams, MinParams, TopoParams};
 
 use crate::runner::RunOutput;
@@ -22,10 +20,8 @@ use crate::sweep::{RunSpec, Sweep, SweepReport};
 /// One command-line flag a binary accepts.
 #[derive(Debug, Clone, Copy)]
 pub struct FlagDef {
-    /// Canonical spelling, e.g. `--jobs`.
+    /// Spelling, e.g. `--jobs`.
     pub name: &'static str,
-    /// Deprecated spellings that still parse (mapped to `name`).
-    pub aliases: &'static [&'static str],
     /// `Some((metavar, description))` when the flag takes a value — the
     /// metavar lands in the usage line, the description in "needs" errors.
     pub value: Option<(&'static str, &'static str)>,
@@ -33,7 +29,7 @@ pub struct FlagDef {
     pub help: &'static str,
 }
 
-/// Parses `args` against a flag table. Returns `(canonical name, value)`
+/// Parses `args` against a flag table. Returns `(flag name, value)`
 /// pairs in argument order; `--help`/`-h` come back as a `"--help"` entry
 /// for the caller to render. Errors (with the usage line attached) on
 /// unknown flags and on missing values — value *syntax* is the caller's
@@ -52,7 +48,7 @@ pub fn parse_flags(
         }
         let def = defs
             .iter()
-            .find(|d| d.name == arg || d.aliases.contains(&arg.as_str()))
+            .find(|d| d.name == arg)
             .ok_or_else(|| format!("unknown option {arg}; {usage}"))?;
         let value = match def.value {
             None => None,
@@ -80,7 +76,7 @@ pub fn usage_line(defs: &[FlagDef]) -> String {
 }
 
 /// The full `--help` text for a flag table: the usage line plus one
-/// aligned line per flag (aliases marked deprecated).
+/// aligned line per flag.
 pub fn render_help(defs: &[FlagDef]) -> String {
     let mut s = usage_line(defs);
     s.push('\n');
@@ -93,11 +89,7 @@ pub fn render_help(defs: &[FlagDef]) -> String {
         .collect();
     let width = left.iter().map(|l| l.len()).max().unwrap_or(0);
     for (d, l) in defs.iter().zip(&left) {
-        s.push_str(&format!("  {l:width$}  {}", d.help));
-        if !d.aliases.is_empty() {
-            s.push_str(&format!(" (deprecated alias: {})", d.aliases.join(", ")));
-        }
-        s.push('\n');
+        s.push_str(&format!("  {l:width$}  {}\n", d.help));
     }
     s
 }
@@ -107,80 +99,62 @@ pub fn render_help(defs: &[FlagDef]) -> String {
 pub const OPTS_FLAGS: &[FlagDef] = &[
     FlagDef {
         name: "--quick",
-        aliases: &[],
         value: None,
         help: "8x time compression (benches/CI; curve shapes preserved)",
     },
     FlagDef {
         name: "--pkt",
-        aliases: &[],
         value: Some(("64|512", "a value")),
         help: "packet size in bytes (default 64)",
     },
     FlagDef {
         name: "--csv",
-        aliases: &[],
         value: Some(("DIR", "a directory")),
         help: "also write CSV files under DIR",
     },
     FlagDef {
         name: "--json",
-        aliases: &[],
         value: Some(("DIR|none", "a directory (or `none`)")),
         help: "JSON sweep summaries under DIR (default results/; `none` disables)",
     },
     FlagDef {
         name: "--cache",
-        aliases: &[],
         value: Some(("DIR|none", "a directory (or `none`)")),
         help: "content-addressed run cache under DIR (resumes interrupted sweeps)",
     },
     FlagDef {
         name: "--jobs",
-        aliases: &[],
         value: Some(("N", "a worker count")),
         help: "sweep worker count (default = available parallelism)",
     },
     FlagDef {
         name: "--net",
-        aliases: &[],
         value: Some(("256|512", "256 or 512")),
         help: "network size for fig6 (both when absent) and the fat-tree \
                hotspot (512 swaps in the 8-ary 3-tree)",
     },
     FlagDef {
         name: "--stride",
-        aliases: &[],
         value: Some(("N", "a value")),
         help: "print every Nth series row (default 4)",
     },
     FlagDef {
         name: "--trace",
-        aliases: &[],
         value: Some(("FILE", "a file")),
         help: "write an event-trace JSONL file",
     },
     FlagDef {
         name: "--trace-last",
-        aliases: &[],
         value: Some(("N", "a record count")),
         help: "trace ring capacity (default 4096; digest covers the whole run)",
     },
     FlagDef {
-        name: "--scheduler",
-        aliases: &[],
-        value: Some(("calendar|heap", "calendar or heap")),
-        help: "event-queue backend (A/B escape hatch; results bit-identical)",
-    },
-    FlagDef {
         name: "--topology",
-        aliases: &[],
         value: Some(("min|fattree", "min or fattree")),
         help: "topology family to build (MIN default)",
     },
     FlagDef {
         name: "--routing",
-        aliases: &[],
         value: Some((
             "deterministic|adaptive|arn",
             "deterministic, adaptive or arn",
@@ -189,19 +163,16 @@ pub const OPTS_FLAGS: &[FlagDef] = &[
     },
     FlagDef {
         name: "--event-model",
-        aliases: &[],
         value: Some(("eager|lazy", "eager or lazy")),
         help: "event scheduling model (eager default; lazy is bit-identical with fewer events)",
     },
     FlagDef {
         name: "--metrics",
-        aliases: &[],
         value: Some(("full|streaming", "full or streaming")),
         help: "metrics mode (full default; streaming keeps O(1) summaries instead of series)",
     },
     FlagDef {
         name: "--transport",
-        aliases: &[],
         value: Some(("open|gbn|nack|pfc", "open, gbn, nack or pfc")),
         help: "end-host transport (open default; gbn/nack window+retransmit, pfc pause/drop)",
     },
@@ -292,10 +263,6 @@ pub struct Opts {
     /// events the JSONL retains (`--trace-last N`, default 4096; the
     /// digest always covers the whole run).
     pub trace_last: usize,
-    /// Event-queue scheduler backend for every run of the sweep
-    /// (`--scheduler calendar|heap`; calendar is the default, the heap is
-    /// the A/B validation escape hatch — results are bit-identical).
-    pub scheduler: SchedulerKind,
     /// Topology family to build (`--topology min|fattree`; MIN default).
     pub topology: TopologyChoice,
     /// Routing policy for every run of the sweep
@@ -392,10 +359,6 @@ impl Opts {
                         .map_err(|_| format!("--trace-last expects a count, got {v:?}"))?;
                     opts.trace_last = n.max(1);
                 }
-                "--scheduler" => {
-                    opts.scheduler =
-                        SchedulerKind::parse(&v()).map_err(|e| format!("{e}; {}", usage()))?;
-                }
                 "--topology" => {
                     opts.topology =
                         TopologyChoice::parse(&v()).map_err(|e| format!("{e}; {}", usage()))?;
@@ -478,8 +441,7 @@ impl Opts {
         let specs: Vec<RunSpec> = specs
             .into_iter()
             .map(|s| {
-                s.with_scheduler(self.scheduler)
-                    .with_routing(self.routing)
+                s.with_routing(self.routing)
                     .with_event_model(self.event_model)
                     .with_metrics(self.metrics)
                     .with_transport(self.transport)
@@ -588,22 +550,6 @@ mod tests {
         assert!(parse(&["--trace-last", "many"])
             .unwrap_err()
             .contains("--trace-last expects a count"));
-    }
-
-    #[test]
-    fn scheduler_flag_parses() {
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.scheduler, SchedulerKind::Calendar);
-        let o = parse(&["--scheduler", "heap"]).unwrap();
-        assert_eq!(o.scheduler, SchedulerKind::Heap);
-        let o = parse(&["--scheduler", "calendar"]).unwrap();
-        assert_eq!(o.scheduler, SchedulerKind::Calendar);
-        assert!(parse(&["--scheduler", "wheel"])
-            .unwrap_err()
-            .contains("unknown scheduler"));
-        assert!(parse(&["--scheduler"])
-            .unwrap_err()
-            .contains("--scheduler needs"));
     }
 
     #[test]
@@ -731,17 +677,14 @@ mod tests {
     }
 
     #[test]
-    fn flag_aliases_map_to_canonical_names() {
+    fn unknown_flags_are_rejected() {
         const DEFS: &[FlagDef] = &[FlagDef {
             name: "--quick",
-            aliases: &["--small"],
             value: None,
             help: "short run",
         }];
-        let parsed =
-            parse_flags(["--small".to_owned()], DEFS).expect("deprecated alias still parses");
+        let parsed = parse_flags(["--quick".to_owned()], DEFS).expect("known flag parses");
         assert_eq!(parsed, vec![("--quick", None)]);
-        assert!(render_help(DEFS).contains("deprecated alias: --small"));
         let err = parse_flags(["--tiny".to_owned()], DEFS).unwrap_err();
         assert!(err.contains("unknown option --tiny"), "{err}");
     }

@@ -448,7 +448,8 @@ mod tests {
         assert!(json.contains("\"total_wall_secs\": 1.25"));
         assert!(json.contains("\"wall_secs\""));
         assert!(json.contains("\"events_per_sec\""));
-        assert!(json.contains("\"scheduler\": \"calendar\""));
+        // The backend is derived from the network size: heap at 64 hosts.
+        assert!(json.contains("\"scheduler\": \"heap\""));
         assert!(json.contains("\"topology\": \"min\""));
         assert!(json.contains("\"routing\": \"deterministic\""));
         assert!(json.contains("\"event_model\": \"eager\""));

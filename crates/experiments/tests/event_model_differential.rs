@@ -20,9 +20,9 @@
 //! Every cell also asserts the lazy run scheduled *strictly fewer* events:
 //! the fast path must actually elide work, not just match.
 
-use experiments::runner::{run_one, RunOutput, SchemeSet, Workload};
+use experiments::runner::{paper_recn_config, run_one, RunOutput, SchemeSet, Workload};
 use experiments::RunSpec;
-use fabric::{EventModel, RoutingPolicy};
+use fabric::{EventModel, RoutingPolicy, SchemeKind};
 use simcore::Picos;
 use topology::{FatTreeParams, MinParams, TopoParams};
 use traffic::corner::CornerCase;
@@ -216,4 +216,27 @@ fn random_uniform_traffic_is_bit_exact() {
     for _ in 0..8 {
         assert_bit_exact(property_spec(&mut draw));
     }
+    // uniform64: RECN on the 64-host MIN at load 0.6 with 64-B messages,
+    // the forwarding-cost control workload, with its event totals pinned.
+    let uniform64 = RunSpec::new(
+        MinParams::paper_64(),
+        SchemeKind::Recn(paper_recn_config()),
+        Workload::Uniform {
+            load: 0.6,
+            msg_bytes: 64,
+            seed: 0xBE7C,
+        },
+    )
+    .with_horizon(Picos::from_us(20))
+    .with_bin(Picos::from_us(2))
+    .with_validation(true)
+    .with_trace(64);
+    assert_eq!(
+        assert_bit_exact(uniform64),
+        UNIFORM64_EVENTS,
+        "uniform64 event totals drifted; update the pin if the change is intended"
+    );
 }
+
+/// Pinned `(eager, lazy)` event totals for the uniform64 run above.
+const UNIFORM64_EVENTS: (u64, u64) = (372_066, 191_289);

@@ -10,6 +10,10 @@
 //!
 //! The same specs run through a serial and a 4-worker sweep, which extends
 //! the bit-identical determinism contract down to the per-event level.
+//!
+//! Beside each digest table sits the exact `(eager, lazy)` event total of
+//! every run. Digests are model-invariant but event totals are not, so the
+//! totals pin the lazy model's event elision as well as the behaviour.
 
 use experiments::runner::SchemeSet;
 use experiments::{RunSpec, Sweep};
@@ -30,6 +34,15 @@ const GOLDEN: &[(&str, u64)] = &[
     ("RECN", 0x8ccd_b1f1_e7cb_4c5d),
 ];
 
+/// Exact `(eager, lazy)` event totals of the [`GOLDEN`] runs, row by row.
+const GOLDEN_EVENTS: &[(u64, u64)] = &[
+    (807_487, 490_494),
+    (812_780, 496_462),
+    (808_152, 493_545),
+    (817_675, 520_003),
+    (951_977, 552_301),
+];
+
 /// Scheme name → expected whole-run trace digest for the fat-tree spec
 /// built by [`golden_specs`]: the same scheme matrix on the 64-host 4-ary
 /// 3-tree with the one-attacker-per-leaf strided hotspot.
@@ -39,6 +52,15 @@ const GOLDEN_FATTREE: &[(&str, u64)] = &[
     ("4Q", 0xac91_3765_ab20_65b1),
     ("1Q", 0xe22c_0994_a3e2_737e),
     ("RECN", 0x4fea_8599_fe14_b8e5),
+];
+
+/// Exact `(eager, lazy)` event totals of the [`GOLDEN_FATTREE`] runs.
+const GOLDEN_FATTREE_EVENTS: &[(u64, u64)] = &[
+    (1_094_677, 706_564),
+    (1_104_665, 721_053),
+    (1_107_922, 723_935),
+    (1_116_985, 779_697),
+    (1_318_504, 791_222),
 ];
 
 /// Scheme name → expected whole-run trace digest for the fat-tree spec
@@ -51,6 +73,16 @@ const GOLDEN_FATTREE_ADAPTIVE: &[(&str, u64)] = &[
     ("4Q", 0xf5a0_7b9e_f64d_2fa4),
     ("1Q", 0x4794_be48_152f_869b),
     ("RECN", 0xd73d_c2fb_3983_78a9),
+];
+
+/// Exact `(eager, lazy)` event totals of the [`GOLDEN_FATTREE_ADAPTIVE`]
+/// runs.
+const GOLDEN_FATTREE_ADAPTIVE_EVENTS: &[(u64, u64)] = &[
+    (1_096_661, 731_227),
+    (1_106_669, 711_669),
+    (1_102_613, 734_075),
+    (1_115_604, 764_950),
+    (1_323_501, 776_733),
 ];
 
 /// Scheme name → expected whole-run trace digest for the fat-tree spec
@@ -71,6 +103,15 @@ const GOLDEN_FATTREE_ARN: &[(&str, u64)] = &[
     ("4Q", 0xf5a0_7b9e_f64d_2fa4),
     ("1Q", 0x4794_be48_152f_869b),
     ("RECN", 0xdfbf_854a_9743_3802),
+];
+
+/// Exact `(eager, lazy)` event totals of the [`GOLDEN_FATTREE_ARN`] runs.
+const GOLDEN_FATTREE_ARN_EVENTS: &[(u64, u64)] = &[
+    (1_096_661, 731_227),
+    (1_106_673, 711_673),
+    (1_102_617, 734_079),
+    (1_115_608, 764_954),
+    (1_324_760, 792_998),
 ];
 
 /// The corner-case hotspot run the digests are pinned to: time-compressed
@@ -95,11 +136,13 @@ fn golden_specs(params: impl Into<TopoParams>, corner: CornerCase) -> Vec<RunSpe
 }
 
 /// Runs the spec list serially and with 4 workers, asserts the two agree
-/// per event, and pins the serial digests against `golden`.
-fn check_golden(specs: impl Fn() -> Vec<RunSpec>, golden: &[(&str, u64)]) {
+/// per event, and pins the serial digests against `golden` and the serial
+/// event totals against the column of `events` for the specs' model.
+fn check_golden(specs: impl Fn() -> Vec<RunSpec>, golden: &[(&str, u64)], events: &[(u64, u64)]) {
     let serial = Sweep::new(specs()).jobs(1).run();
     let parallel = Sweep::new(specs()).jobs(4).run();
     assert_eq!(serial.len(), golden.len());
+    let lazy = specs()[0].event_model() == EventModel::Lazy;
 
     let digests: Vec<(&str, u64)> = serial
         .iter()
@@ -123,6 +166,20 @@ fn check_golden(specs: impl Fn() -> Vec<RunSpec>, golden: &[(&str, u64)]) {
         "trace digests drifted from the checked-in golden values; if the \
          behaviour change is intended, update the golden table in this test"
     );
+
+    // Event-count pin: a drift in the number of scheduled events fails
+    // even when the observable behaviour is unchanged.
+    let totals: Vec<u64> = serial.iter().map(|o| o.events).collect();
+    let pinned: Vec<u64> = events
+        .iter()
+        .map(|&(eager, lazy_n)| if lazy { lazy_n } else { eager })
+        .collect();
+    assert_eq!(
+        totals,
+        pinned,
+        "{} event totals drifted from the checked-in values",
+        if lazy { "lazy" } else { "eager" }
+    );
 }
 
 #[test]
@@ -130,6 +187,7 @@ fn trace_digests_match_golden_and_are_parallel_stable() {
     check_golden(
         || golden_specs(MinParams::paper_64(), CornerCase::case2_64()),
         GOLDEN,
+        GOLDEN_EVENTS,
     );
 }
 
@@ -138,6 +196,7 @@ fn fattree_trace_digests_match_golden_and_are_parallel_stable() {
     check_golden(
         || golden_specs(FatTreeParams::ft_64(), CornerCase::fattree_64()),
         GOLDEN_FATTREE,
+        GOLDEN_FATTREE_EVENTS,
     );
 }
 
@@ -151,6 +210,7 @@ fn fattree_adaptive_trace_digests_match_golden_and_are_parallel_stable() {
                 .collect()
         },
         GOLDEN_FATTREE_ADAPTIVE,
+        GOLDEN_FATTREE_ADAPTIVE_EVENTS,
     );
 }
 
@@ -164,6 +224,7 @@ fn fattree_arn_trace_digests_match_golden_and_are_parallel_stable() {
                 .collect()
         },
         GOLDEN_FATTREE_ARN,
+        GOLDEN_FATTREE_ARN_EVENTS,
     );
 }
 
@@ -182,11 +243,22 @@ fn lazy_trace_digests_match_the_eager_golden_tables() {
                 .collect()
         },
         GOLDEN,
+        GOLDEN_EVENTS,
     );
 }
 
 #[test]
 fn lazy_fattree_trace_digests_match_the_eager_golden_tables() {
+    check_golden(
+        || {
+            golden_specs(FatTreeParams::ft_64(), CornerCase::fattree_64())
+                .into_iter()
+                .map(|s| s.with_event_model(EventModel::Lazy))
+                .collect()
+        },
+        GOLDEN_FATTREE,
+        GOLDEN_FATTREE_EVENTS,
+    );
     check_golden(
         || {
             golden_specs(FatTreeParams::ft_64(), CornerCase::fattree_64())
@@ -198,6 +270,7 @@ fn lazy_fattree_trace_digests_match_the_eager_golden_tables() {
                 .collect()
         },
         GOLDEN_FATTREE_ADAPTIVE,
+        GOLDEN_FATTREE_ADAPTIVE_EVENTS,
     );
 }
 
@@ -214,11 +287,14 @@ fn lazy_fattree_arn_trace_digests_match_the_eager_golden_tables() {
                 .collect()
         },
         GOLDEN_FATTREE_ARN,
+        GOLDEN_FATTREE_ARN_EVENTS,
     );
 }
 
 /// Expected digest for the 512-host ARN cell pinned below.
 const GOLDEN_FATTREE_512_ARN_RECN: u64 = 0x0195_c546_7d47_6c93;
+/// Exact `(eager, lazy)` event totals of that cell.
+const GOLDEN_FATTREE_512_ARN_RECN_EVENTS: (u64, u64) = (12_286_643, 7_445_752);
 
 /// The acceptance-level 512-host pin: the hardest cell of the routing ×
 /// scheme matrix — RECN under `--routing arn` on the 8-ary 3-tree with
@@ -237,7 +313,11 @@ fn fattree_512_arn_recn_digest_is_pinned_and_model_invariant() {
             .map(|s| s.with_routing(fabric::RoutingPolicy::arn()))
             .collect()
     };
-    check_golden(specs, &[("RECN", GOLDEN_FATTREE_512_ARN_RECN)]);
+    check_golden(
+        specs,
+        &[("RECN", GOLDEN_FATTREE_512_ARN_RECN)],
+        &[GOLDEN_FATTREE_512_ARN_RECN_EVENTS],
+    );
     let lazy: Vec<RunSpec> = specs()
         .into_iter()
         .map(|s| s.with_event_model(EventModel::Lazy))
@@ -247,5 +327,9 @@ fn fattree_512_arn_recn_digest_is_pinned_and_model_invariant() {
         out[0].trace_digest,
         Some(GOLDEN_FATTREE_512_ARN_RECN),
         "lazy model diverged from the eager 512-host ARN digest"
+    );
+    assert_eq!(
+        out[0].events, GOLDEN_FATTREE_512_ARN_RECN_EVENTS.1,
+        "lazy event total drifted"
     );
 }

@@ -26,72 +26,64 @@ fn schemes() -> [SchemeKind; 5] {
 
 /// Corner case 2 on the 64-host MIN, spec defaults (64 B packets, 1600 µs
 /// horizon, deterministic routing, eager events) — one hash per scheme.
-/// (spec version 2: the event-model tag byte is part of the encoding.)
+/// (Every table in this file is pinned at spec version 6.)
 const GOLDEN_MIN: [u64; 5] = [
-    0xd7d2430aae1754fe,
-    0xc5fc9a30ea2fa45b,
-    0x189b0e30359f554c,
-    0xa88ffdbae0009b91,
-    0xefc664f6b3f92164,
+    0x799a94400f71fac2,
+    0xa0963c4d3d14b39d,
+    0x980c9c8cc529905c,
+    0xf1bafeae25b6f47f,
+    0x0d54b6abe220f4f4,
 ];
 
 /// The fat-tree hotspot under the same five schemes with adaptive
 /// up-routing and 512-byte packets.
 const GOLDEN_FATTREE_ADAPTIVE: [u64; 5] = [
-    0x2a81a71957c888ac,
-    0x7aceee15cc425e5f,
-    0x760be39a327a007e,
-    0xf2eeebdb18abf1e9,
-    0x9c343e87f3d76032,
+    0x32e5f2ef273008b8,
+    0x53eeb4efe0029cb9,
+    0x08fb9650563308c6,
+    0x457ee41a88dbc047,
+    0x69ee732fd3b1e552,
 ];
 
 /// The MIN table again under the lazy event model: same simulation
 /// behaviour, different content address — lazy outputs report different
 /// event counts, so the two models must never alias in the cache.
 const GOLDEN_MIN_LAZY: [u64; 5] = [
-    0xd7d2440aae1756b1,
-    0xc5fc9930ea2fa2a8,
-    0x189b0f30359f56ff,
-    0xa88ffcbae00099de,
-    0xefc665f6b3f92317,
+    0x82440f401459f96d,
+    0x97ecc14d382cb4f2,
+    0xa0b6178cca118f07,
+    0xe91183ae20cef5d4,
+    0x15fe31abe708f39f,
 ];
 
 /// The MIN table under streaming metrics: the run's *behaviour* is
 /// identical (streaming is a metrics-storage knob), but the probe's
 /// output shape differs — series render empty, a `StreamSummary` rides
-/// along — so the two modes must never alias in the cache. Full-mode
-/// specs still encode as version 2 (every pre-streaming hash above is
-/// untouched); these version-3 addresses pin the new field.
+/// along — so the two modes must never alias in the cache.
 const GOLDEN_MIN_STREAMING: [u64; 5] = [
-    0x50a90f95afd16806,
-    0xe02906c06bc26585,
-    0x3def4c3d775566a8,
-    0xa47abd53566b0bcf,
-    0xaee34453543cf134,
+    0x799dfa400f74ddeb,
+    0xa092d64d3d11d074,
+    0x9810028cc52c7385,
+    0xf1b798ae25b41156,
+    0x0d581cabe223d81d,
 ];
 
 /// Closed-loop incast64 on RECN under each non-open transport, plus the
-/// go-back-N spec with streaming metrics (spec version 4: the metrics
-/// tag and transport block join the encoding). Open-loop specs still
-/// encode as version 2/3 — every table above is untouched by the
-/// transport layer.
+/// go-back-N spec with streaming metrics.
 const GOLDEN_MIN_TRANSPORT: [u64; 4] = [
-    0xdb295620407af4c7, // go-back-N
-    0x93a51afca889fa82, // NACK
-    0x474a1cf339532da1, // PFC
-    0x45af02f99fdd4712, // go-back-N + streaming metrics
+    0x1432816e8221d1f5, // go-back-N
+    0x8802e6330c7b30e4, // NACK
+    0x915dbad32ffb24cb, // PFC
+    0x6e6b65d3257dcb58, // go-back-N + streaming metrics
 ];
 
-/// The fat-tree hotspot under ARN routing (spec version 5: the routing
-/// tag selects the version and the metrics tag + transport block join the
-/// encoding unconditionally). Non-ARN specs still encode as version
-/// 2/3/4 — every table above is untouched by the ARN layer.
+/// The fat-tree hotspot under ARN routing.
 const GOLDEN_FATTREE_ARN: [u64; 5] = [
-    0x1bec6d55e69f9a22,
-    0x9574f6daa666f765,
-    0xb24049c921ca0b1c,
-    0x551069f80d9bce3f,
-    0x6379ad4b5b574d54,
+    0x5981f8bc513f1425,
+    0x5ff6069b12db4b1c,
+    0x647aba57d48233e7,
+    0xb8b07b293187ff26,
+    0xf94d6e9bb3de63d3,
 ];
 
 fn min_spec(scheme: SchemeKind) -> RunSpec {

@@ -131,9 +131,17 @@ fn open_loop_flows_complete_without_acks() {
     assert_eq!(out.counters.retransmitted_packets, 0);
 }
 
+/// Pinned `(eager, lazy)` event totals of the RECN incast64 runs below,
+/// per transport.
+const INCAST64_RECN_EVENTS: [(&str, u64, u64); 3] = [
+    ("gbn", 16_863, 10_150),
+    ("nack", 16_863, 10_150),
+    ("pfc", 14_640, 8_206),
+];
+
 #[test]
 fn closed_loop_runs_are_bit_identical_across_event_models() {
-    for transport in ["gbn", "nack", "pfc"] {
+    for (transport, eager_events, lazy_events) in INCAST64_RECN_EVENTS {
         let base = incast_spec(
             fabric::SchemeKind::Recn(experiments::runner::paper_recn_config()),
             TransportKind::parse(transport).unwrap(),
@@ -149,6 +157,11 @@ fn closed_loop_runs_are_bit_identical_across_event_models() {
         assert_eq!(
             eager.counters.retransmitted_packets, lazy.counters.retransmitted_packets,
             "{transport}"
+        );
+        assert_eq!(
+            (eager.events, lazy.events),
+            (eager_events, lazy_events),
+            "{transport}: event totals drifted; update the pin if the change is intended"
         );
         assert!(
             lazy.events <= eager.events,

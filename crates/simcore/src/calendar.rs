@@ -6,15 +6,15 @@
 //! the near-uniform event-time distributions a cycle-ish switch model
 //! produces (most events land within a couple of link times of `now`),
 //! `schedule` and `pop` are O(1) amortized, versus the O(log n) of the
-//! binary-heap scheduler it replaces.
+//! binary-heap backend.
 //!
 //! ## Ordering contract
 //!
 //! Delivery order is *exactly* nondecreasing `(time, seq)` — identical,
-//! event for event, to the legacy heap (see
+//! event for event, to the heap backend (see
 //! [`SchedulerKind`](crate::SchedulerKind)). This is load-bearing: the
-//! golden-trace digests pin whole-run event sequences, so the scheduler
-//! swap must be invisible at the per-event level. The differential tests
+//! golden-trace digests pin whole-run event sequences, so the backend
+//! choice must be invisible at the per-event level. The differential tests
 //! in `tests/` drive random schedules through both backends and assert
 //! identical pop sequences, including FIFO stability at equal times.
 //!
@@ -111,22 +111,6 @@ pub(crate) struct CalendarQueue<E> {
     len: usize,
     /// Schedules since the last rebuild (cooldown for early re-widths).
     sched_since_rebuild: usize,
-    pub(crate) stats: CalStats,
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct CalStats {
-    pub sched_empty: u64,
-    pub sched_append: u64,
-    pub sched_insert: u64,
-    pub sched_overflow: u64,
-    pub sched_rewind: u64,
-    pub pop_fast: u64,
-    pub pop_scan: u64,
-    pub pop_fallback: u64,
-    pub scan_steps: u64,
-    pub rebuilds: u64,
-    pub migrations: u64,
 }
 
 /// Longest run of events (in a `(time, seq)`-sorted slice) sharing a day
@@ -145,19 +129,6 @@ fn max_run<E>(events: &[ScheduledEvent<E>], shift: u32) -> usize {
     best
 }
 
-impl<E> Drop for CalendarQueue<E> {
-    fn drop(&mut self) {
-        if std::env::var_os("CAL_STATS").is_some() && self.stats.rebuilds > 0 {
-            eprintln!(
-                "CAL_STATS shift={} nbuckets={} {:?}",
-                self.width_shift,
-                self.buckets.len(),
-                self.stats
-            );
-        }
-    }
-}
-
 impl<E> CalendarQueue<E> {
     pub(crate) fn new() -> Self {
         CalendarQueue {
@@ -172,7 +143,6 @@ impl<E> CalendarQueue<E> {
             cal_len: 0,
             len: 0,
             sched_since_rebuild: 0,
-            stats: CalStats::default(),
         }
     }
 
@@ -227,7 +197,6 @@ impl<E> CalendarQueue<E> {
             // overflow key exceeds every bucketed key, so the cached head
             // is untouched, and the window stays dense — far-future
             // events never pollute the near buckets with mid-run inserts.
-            self.stats.sched_overflow += 1;
             self.overflow.push(ev);
             self.len += 1;
             return;
@@ -236,7 +205,6 @@ impl<E> CalendarQueue<E> {
         let bucket = &mut self.buckets[b];
         let mut long_run = false;
         if bucket.is_empty() {
-            self.stats.sched_empty += 1;
             bucket.push_back(ev);
             self.set_bit(b);
         } else if bucket
@@ -244,13 +212,11 @@ impl<E> CalendarQueue<E> {
             .is_some_and(|back| (back.time, back.seq) > key)
         {
             // Out-of-order for this bucket: binary-search the slot.
-            self.stats.sched_insert += 1;
             long_run = bucket.len() >= LONG_RUN;
             let pos = bucket.partition_point(|e| (e.time, e.seq) < key);
             bucket.insert(pos, ev);
         } else {
             // Fast path: the key extends the bucket's ascending run.
-            self.stats.sched_append += 1;
             bucket.push_back(ev);
         }
         self.len += 1;
@@ -260,7 +226,6 @@ impl<E> CalendarQueue<E> {
             Some((ht, hs, _)) if (ht, hs) < key => {}
             // New earliest event (or empty queue): rewind to its day.
             _ => {
-                self.stats.sched_rewind += 1;
                 self.cur_day = day;
                 self.head = Some((key.0, key.1, b));
             }
@@ -290,7 +255,6 @@ impl<E> CalendarQueue<E> {
         // it is the new head, and the bucket is already in cache.
         if let Some(front) = self.buckets[b].front() {
             if self.day_of(front.time) == self.cur_day {
-                self.stats.pop_fast += 1;
                 self.head = Some((front.time, front.seq, b));
                 return Some(ev);
             }
@@ -318,7 +282,6 @@ impl<E> CalendarQueue<E> {
         let nb = self.buckets.len() as u64;
         let mut off = 0u64;
         while off < nb {
-            self.stats.scan_steps += 1;
             let from = ((self.cur_day + off) & self.mask) as usize;
             let Some(extra) = self.next_occupied_offset(from) else {
                 break;
@@ -331,7 +294,6 @@ impl<E> CalendarQueue<E> {
             let b = (day & self.mask) as usize;
             let front = self.buckets[b].front().expect("bitmap says non-empty");
             if self.day_of(front.time) == day {
-                self.stats.pop_scan += 1;
                 self.cur_day = day;
                 self.head = Some((front.time, front.seq, b));
                 return;
@@ -341,7 +303,6 @@ impl<E> CalendarQueue<E> {
         }
         // Sparse tail: nothing due within a lap. Take the minimum over the
         // occupied bucket fronts (each front is its bucket's minimum).
-        self.stats.pop_fallback += 1;
         let mut best: Option<(Picos, u64, usize)> = None;
         for (wi, &word) in self.occupied.iter().enumerate() {
             let mut w = word;
@@ -380,7 +341,6 @@ impl<E> CalendarQueue<E> {
             self.rebuild(); // re-derive the width for the sparser tail
             return;
         }
-        self.stats.migrations += 1;
         self.epoch_day = first_day;
         self.cur_day = first_day;
         self.cal_len = split;
@@ -398,7 +358,6 @@ impl<E> CalendarQueue<E> {
     /// the events nearest the head (robust against far-future stragglers
     /// stretching the span — see the module docs).
     fn rebuild(&mut self) {
-        self.stats.rebuilds += 1;
         self.sched_since_rebuild = 0;
         let mut events: Vec<ScheduledEvent<E>> = Vec::with_capacity(self.len);
         // Drain via the bitmap: empty buckets (the vast majority in a

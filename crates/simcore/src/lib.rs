@@ -9,8 +9,8 @@
 //!   driver loop. Events scheduled for the same instant are delivered in
 //!   insertion order, which makes the simulation deterministic even when many
 //!   components act "simultaneously". Two [`SchedulerKind`] backends deliver
-//!   that exact order: a calendar queue (default, O(1) amortized) and the
-//!   legacy binary heap (escape hatch for A/B validation).
+//!   that exact order: a binary heap and a calendar queue (O(1) amortized,
+//!   the faster one at thousands of hosts).
 //! * [`SplitMix64`] / [`Xoshiro256`]: small, dependency-free PRNGs with
 //!   explicit seeding, so traffic generation is reproducible.
 //! * [`Canon`], [`CanonWriter`], [`CanonReader`], [`fnv1a64`]: the stable

@@ -20,38 +20,30 @@ pub struct ScheduledEvent<E> {
 
 /// Which scheduler backend an [`EventQueue`] runs on.
 ///
-/// Both deliver the exact same `(time, seq)` order — the calendar queue is
-/// the default (O(1) amortized for the clustered event times the fabric
-/// model produces); the binary heap is kept as an escape hatch for A/B
-/// validation and for adversarial schedules where the calendar's density
-/// assumptions don't hold. Selectable per run via
-/// `experiments::RunSpec::scheduler`.
+/// Both deliver the exact same `(time, seq)` order, so the choice never
+/// changes a result, only speed and memory. The binary heap is lean and
+/// wins on the small and mid-size fabrics; the calendar queue (O(1)
+/// amortized for the clustered event times the fabric model produces)
+/// wins at thousands of hosts, where the queue runs ~80k deep, but keeps
+/// its bucket array allocated. Runs do not choose: the experiments layer
+/// derives the backend from the network size
+/// (`experiments::RunSpec::scheduler`). A bare [`EventQueue::new`] uses
+/// the calendar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
-    /// Calendar queue / timing wheel (the default; see `calendar.rs`).
+    /// Calendar queue / timing wheel (see `calendar.rs`).
     #[default]
     Calendar,
-    /// The legacy `BinaryHeap` scheduler.
+    /// `BinaryHeap` scheduler.
     Heap,
 }
 
 impl SchedulerKind {
-    /// Display name (also the `--scheduler` CLI value).
+    /// Display name (reported as `"scheduler"` in sweep JSON summaries).
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::Calendar => "calendar",
             SchedulerKind::Heap => "heap",
-        }
-    }
-
-    /// Parses a `--scheduler` CLI value.
-    pub fn parse(s: &str) -> Result<SchedulerKind, String> {
-        match s {
-            "calendar" => Ok(SchedulerKind::Calendar),
-            "heap" => Ok(SchedulerKind::Heap),
-            other => Err(format!(
-                "unknown scheduler {other:?} (expected calendar|heap)"
-            )),
         }
     }
 }
@@ -323,17 +315,6 @@ mod tests {
         assert_eq!(q.scheduler(), SchedulerKind::Calendar);
         let q: EventQueue<()> = EventQueue::with_scheduler(SchedulerKind::Heap);
         assert_eq!(q.scheduler(), SchedulerKind::Heap);
-    }
-
-    #[test]
-    fn scheduler_kind_parses() {
-        assert_eq!(
-            SchedulerKind::parse("calendar"),
-            Ok(SchedulerKind::Calendar)
-        );
-        assert_eq!(SchedulerKind::parse("heap"), Ok(SchedulerKind::Heap));
-        assert!(SchedulerKind::parse("wheel").is_err());
-        assert_eq!(SchedulerKind::Calendar.name(), "calendar");
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Calendar);
+        assert_eq!(SchedulerKind::Heap.name(), "heap");
     }
 }

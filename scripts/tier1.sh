@@ -148,4 +148,13 @@ sed 's/"cache": "[a-z]*"/"cache": "X"/' "$smoke/d2.jsonl" > "$smoke/d2.masked"
 cmp "$smoke/d1.masked" "$smoke/d2.masked"
 echo "sweepd smoke passed: spool drained, warm pass served from cache"
 
+echo "== tier1: simbench smoke (benchmark of record builds, pins hold) =="
+# The benchmark lives in its own Cargo workspace and builds against the
+# crates by path, so the root build above does not cover it. Its tests
+# check BENCHMARK.json against the workloads; the single run on the
+# pinned default seed fails if a simulated output moved.
+cargo test --release --offline -q --manifest-path simbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path simbench/Cargo.toml -- --workload uniform64 --seed 2005 --seconds 1 --trace 0 > "$smoke/simbench.txt"
+echo "simbench smoke passed: pinned outputs hold on the default seed"
+
 echo "== tier1: all checks passed =="
